@@ -156,9 +156,20 @@ void ShmSystem::UpdateProcessMemoryHooks(mos::Process* p) {
   }
 }
 
-msim::Task<ShmSystem::ResolvedAccess> ShmSystem::Prepare(mos::Process* p, mmem::VAddr addr,
-                                                         bool write) {
+bool ShmSystem::TryAccess(mos::Process* p, mmem::VAddr addr, Op op, std::uint32_t& value) {
   mmem::AddressSpace& as = SpaceFor(p);
+  auto r = as.Resolve(addr);
+  if (!r.has_value() || as.Check(*r, IsWrite(op)) != mmem::Access::kOk) {
+    return false;
+  }
+  value = Perform(p, *r, op, value);
+  return true;
+}
+
+msim::Task<std::uint32_t> ShmSystem::FaultingAccess(mos::Process* p, mmem::VAddr addr, Op op,
+                                                    std::uint32_t value) {
+  mmem::AddressSpace& as = SpaceFor(p);
+  const bool write = IsWrite(op);
   for (;;) {
     auto r = as.Resolve(addr);
     if (!r.has_value()) {
@@ -166,7 +177,7 @@ msim::Task<ShmSystem::ResolvedAccess> ShmSystem::Prepare(mos::Process* p, mmem::
     }
     switch (as.Check(*r, write)) {
       case mmem::Access::kOk:
-        co_return ResolvedAccess{&as, *r};
+        co_return Perform(p, *r, op, value);
       case mmem::Access::kNoWritePermission:
         throw ProtectionFault(addr);
       case mmem::Access::kReadFault:
@@ -187,35 +198,31 @@ msim::Task<ShmSystem::ResolvedAccess> ShmSystem::Prepare(mos::Process* p, mmem::
   }
 }
 
-msim::Task<std::uint32_t> ShmSystem::ReadWord(mos::Process* p, mmem::VAddr addr) {
-  ResolvedAccess a = co_await Prepare(p, addr, /*write=*/false);
-  std::uint32_t v = a.r.attach->image->ReadWord(a.r.page, a.r.offset);
-  NoteAccess(p, a.r, AccessKind::kRead, v);
-  co_return v;
-}
-
-msim::Task<> ShmSystem::WriteWord(mos::Process* p, mmem::VAddr addr, std::uint32_t value) {
-  ResolvedAccess a = co_await Prepare(p, addr, /*write=*/true);
-  a.r.attach->image->WriteWord(a.r.page, a.r.offset, value);
-  NoteAccess(p, a.r, AccessKind::kWrite, value);
-}
-
-msim::Task<std::uint8_t> ShmSystem::ReadByte(mos::Process* p, mmem::VAddr addr) {
-  ResolvedAccess a = co_await Prepare(p, addr, /*write=*/false);
-  co_return a.r.attach->image->ReadByte(a.r.page, a.r.offset);
-}
-
-msim::Task<> ShmSystem::WriteByte(mos::Process* p, mmem::VAddr addr, std::uint8_t value) {
-  ResolvedAccess a = co_await Prepare(p, addr, /*write=*/true);
-  a.r.attach->image->WriteByte(a.r.page, a.r.offset, value);
-}
-
-msim::Task<std::uint32_t> ShmSystem::TestAndSet(mos::Process* p, mmem::VAddr addr) {
-  ResolvedAccess a = co_await Prepare(p, addr, /*write=*/true);
-  std::uint32_t old = a.r.attach->image->ReadWord(a.r.page, a.r.offset);
-  a.r.attach->image->WriteWord(a.r.page, a.r.offset, 1);
-  NoteAccess(p, a.r, AccessKind::kRmw, old);
-  co_return old;
+std::uint32_t ShmSystem::Perform(mos::Process* p, const mmem::AddressSpace::Resolved& r, Op op,
+                                 std::uint32_t value) const {
+  mmem::SegmentImage* image = r.attach->image;
+  switch (op) {
+    case Op::kReadWord:
+      value = image->ReadWord(r.page, r.offset);
+      NoteAccess(p, r, AccessKind::kRead, value);
+      break;
+    case Op::kWriteWord:
+      image->WriteWord(r.page, r.offset, value);
+      NoteAccess(p, r, AccessKind::kWrite, value);
+      break;
+    case Op::kReadByte:
+      value = image->ReadByte(r.page, r.offset);
+      break;
+    case Op::kWriteByte:
+      image->WriteByte(r.page, r.offset, static_cast<std::uint8_t>(value));
+      break;
+    case Op::kTestAndSet:
+      value = image->ReadWord(r.page, r.offset);
+      image->WriteWord(r.page, r.offset, 1);
+      NoteAccess(p, r, AccessKind::kRmw, value);
+      break;
+  }
+  return value;
 }
 
 }  // namespace msysv

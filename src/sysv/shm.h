@@ -8,19 +8,25 @@
 //  * Shmdt   — detach; the last detach anywhere destroys the segment;
 //  * ShmStat / ShmRemove — the shmctl subset the paper's applications use.
 //
-// Data access goes through typed accessors (ReadWord/WriteWord/...): each
-// checks the process page table the way the VAX MMU would, raises a typed
-// read or write fault on a miss, and retries once the protocol installs the
-// page. This is the documented substitution for hardware traps (DESIGN.md).
+// Data access goes through typed accessors (ReadWord/WriteWord/...). Each
+// returns a lazy ShmSystem::Access awaitable that checks the process page
+// table the way the VAX MMU would. When the PTE allows the access it is a
+// plain load or store: it completes inside await_ready, with no coroutine
+// frame and no suspension. On a miss it raises a typed read or write fault
+// in one slow-path coroutine and retries once the protocol installs the
+// page. This is the documented substitution for hardware traps (DESIGN.md
+// §2, §10.6).
 #ifndef SRC_SYSV_SHM_H_
 #define SRC_SYSV_SHM_H_
 
+#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "src/mem/address_space.h"
@@ -115,16 +121,67 @@ class ShmSystem {
 
   // ---- Data plane (call only from the owning process's coroutine) ----
 
-  msim::Task<std::uint32_t> ReadWord(mos::Process* p, mmem::VAddr addr);
-  msim::Task<> WriteWord(mos::Process* p, mmem::VAddr addr, std::uint32_t value);
-  msim::Task<std::uint8_t> ReadByte(mos::Process* p, mmem::VAddr addr);
-  msim::Task<> WriteByte(mos::Process* p, mmem::VAddr addr, std::uint8_t value);
+ private:
+  enum class Op : std::uint8_t { kReadWord, kWriteWord, kReadByte, kWriteByte, kTestAndSet };
+
+ public:
+  // What every word and byte accessor returns; co_await it for the value
+  // (T) or completion (void). Lazy: nothing happens until it is awaited.
+  // await_ready is the MMU check: on a PTE hit it performs the access there
+  // and the caller never suspends. On a miss await_suspend starts the one
+  // slow-path coroutine (FaultingAccess), which faults, retries and then
+  // performs the access. Either way SIGSEGV/protection/EIDRM errors and
+  // image errors surface at the co_await.
+  template <typename T>
+  class [[nodiscard]] Access {
+   public:
+    bool await_ready() { return shm_->TryAccess(p_, addr_, op_, value_); }
+    std::coroutine_handle<> await_suspend(std::coroutine_handle<> caller) {
+      slow_ = shm_->FaultingAccess(p_, addr_, op_, value_);
+      return slow_.await_suspend(caller);
+    }
+    T await_resume() {
+      if (slow_.Valid()) {
+        value_ = slow_.await_resume();
+      }
+      if constexpr (!std::is_void_v<T>) {
+        return static_cast<T>(value_);
+      }
+    }
+
+   private:
+    friend class ShmSystem;
+    Access(ShmSystem* shm, mos::Process* p, mmem::VAddr addr, Op op, std::uint32_t value)
+        : shm_(shm), p_(p), addr_(addr), op_(op), value_(value) {}
+
+    ShmSystem* shm_;
+    mos::Process* p_;
+    mmem::VAddr addr_;
+    Op op_;
+    std::uint32_t value_;  // operand in, result out
+    msim::Task<std::uint32_t> slow_;
+  };
+
+  Access<std::uint32_t> ReadWord(mos::Process* p, mmem::VAddr addr) {
+    return {this, p, addr, Op::kReadWord, 0};
+  }
+  Access<void> WriteWord(mos::Process* p, mmem::VAddr addr, std::uint32_t value) {
+    return {this, p, addr, Op::kWriteWord, value};
+  }
+  Access<std::uint8_t> ReadByte(mos::Process* p, mmem::VAddr addr) {
+    return {this, p, addr, Op::kReadByte, 0};
+  }
+  Access<void> WriteByte(mos::Process* p, mmem::VAddr addr, std::uint8_t value) {
+    return {this, p, addr, Op::kWriteByte, value};
+  }
 
   // The VAX interlocked test-and-set (§7.2): atomically sets the word to 1
   // and returns the previous value. Needs a writable copy of the page, so a
   // remote tester write-faults — exactly the interaction the paper warns
   // about. Atomicity comes free from single-writer page exclusivity.
-  msim::Task<std::uint32_t> TestAndSet(mos::Process* p, mmem::VAddr addr);
+  Access<std::uint32_t> TestAndSet(mos::Process* p, mmem::VAddr addr) {
+    return {this, p, addr, Op::kTestAndSet, 0};
+  }
 
   // Bulk transfers. Blocks fault page by page like any other access; the
   // block may span pages but must stay within one attached segment.
@@ -161,13 +218,18 @@ class ShmSystem {
   void SetAccessHook(AccessHook h) { access_hook_ = std::move(h); }
 
  private:
-  struct ResolvedAccess {
-    mmem::AddressSpace* as;
-    mmem::AddressSpace::Resolved r;
-  };
-  // Resolves + fault-retries until the access is possible; the heart of all
-  // four typed accessors.
-  msim::Task<ResolvedAccess> Prepare(mos::Process* p, mmem::VAddr addr, bool write);
+  static bool IsWrite(Op op) { return op != Op::kReadWord && op != Op::kReadByte; }
+  // The fast path: performs the access and returns true iff the address
+  // resolves and the process PTE already allows it. Simulates nothing.
+  bool TryAccess(mos::Process* p, mmem::VAddr addr, Op op, std::uint32_t& value);
+  // The slow path: resolves, faults and retries until the access is
+  // possible, then performs it and returns the result.
+  msim::Task<std::uint32_t> FaultingAccess(mos::Process* p, mmem::VAddr addr, Op op,
+                                           std::uint32_t value);
+  // Reads/writes the image for a permitted access and fires the access hook
+  // for word ops. Returns the value read (or the old value for TestAndSet).
+  std::uint32_t Perform(mos::Process* p, const mmem::AddressSpace::Resolved& r, Op op,
+                        std::uint32_t value) const;
 
   void UpdateProcessMemoryHooks(mos::Process* p);
 

@@ -1,7 +1,11 @@
 // System V IPC semantics (§2.2): key namespace, creation flags, attach
 // rules, permissions, detach-destroys, shmctl subset, and the typed
-// accessor fault/violation behaviour.
+// accessor fault/violation behaviour, on both the resident fast path and
+// the faulting slow path.
 #include <gtest/gtest.h>
+
+#include <stdexcept>
+#include <vector>
 
 #include "src/sysv/world.h"
 
@@ -9,9 +13,11 @@ namespace {
 
 using mos::Priority;
 using mos::Process;
+using msim::kMillisecond;
 using msim::kSecond;
 using msim::Task;
 using msysv::ShmErr;
+using msysv::ShmSystem;
 using msysv::World;
 
 struct SysvTest : public ::testing::Test {
@@ -26,6 +32,11 @@ struct SysvTest : public ::testing::Test {
       done = true;
     });
     ASSERT_TRUE(w.RunUntil([&] { return done; }, 30 * kSecond));
+  }
+
+  // Page faults taken so far at `site`: the slow path's signature.
+  std::uint64_t Faults(int site) {
+    return w.engine(site)->stats().read_faults + w.engine(site)->stats().write_faults;
   }
 };
 
@@ -240,6 +251,153 @@ TEST_F(SysvTest, TwoProcessesShareAtDifferentAddresses) {
   AsProcess(0, [&](Process* p) -> Task<> {
     mmem::VAddr base = w.shm(0).Shmat(p, id, mmem::VAddr{0x90000000}).value();
     EXPECT_EQ(co_await w.shm(0).ReadWord(p, base + 8), 4242u);
+  });
+}
+
+// An image error raised on the resident fast path (inside await_ready)
+// reaches the awaiting coroutine's own try/catch, and the process goes on.
+TEST_F(SysvTest, FastPathErrorReachesCallersCatch) {
+  int id = w.shm(0).Shmget(7, 512, true).value();
+  AsProcess(0, [&](Process* p) -> Task<> {
+    auto& shm = w.shm(0);
+    mmem::VAddr base = shm.Shmat(p, id).value();
+    co_await shm.WriteWord(p, base, 5);  // the page is now resident
+    const std::uint64_t faults = Faults(0);
+    bool threw = false;
+    try {
+      (void)co_await shm.ReadWord(p, base + 2);  // misaligned word
+    } catch (const std::logic_error&) {
+      threw = true;
+    }
+    EXPECT_TRUE(threw);
+    EXPECT_EQ(Faults(0), faults);
+    EXPECT_EQ(co_await shm.ReadWord(p, base), 5u);
+  });
+}
+
+// The access hook fires once per word access, with the same event whether
+// the access faulted first (slow path) or hit a resident page (fast path).
+// Byte accesses stay unhooked.
+TEST_F(SysvTest, AccessHookFiresOnceWithSameEventOnBothPaths) {
+  int id = w.shm(0).Shmget(7, 1024, true).value();
+  struct Seen {
+    ShmSystem::AccessEvent ev;
+    std::uint64_t faults;
+  };
+  std::vector<Seen> seen;
+  w.shm(1).SetAccessHook(
+      [&](const ShmSystem::AccessEvent& ev) { seen.push_back({ev, Faults(1)}); });
+  auto same = [](const ShmSystem::AccessEvent& a, const ShmSystem::AccessEvent& b) {
+    return a.site == b.site && a.pid == b.pid && a.seg == b.seg && a.page == b.page &&
+           a.offset == b.offset && a.kind == b.kind && a.value == b.value;
+  };
+  AsProcess(1, [&](Process* p) -> Task<> {
+    auto& shm = w.shm(1);
+    mmem::VAddr base = shm.Shmat(p, id).value();
+    (void)co_await shm.ReadWord(p, base + 8);  // read fault
+    (void)co_await shm.ReadWord(p, base + 8);  // hit
+    co_await shm.WriteWord(p, base + 8, 7);    // write fault (upgrade)
+    co_await shm.WriteWord(p, base + 8, 7);    // hit
+    co_await shm.WriteByte(p, base + 20, 1);   // hit, unhooked
+    (void)co_await shm.ReadByte(p, base + 20);
+    (void)co_await shm.TestAndSet(p, base + 512 + 4);  // write fault on page 1
+    (void)co_await shm.TestAndSet(p, base + 512 + 4);  // hit
+  });
+  ASSERT_EQ(seen.size(), 6u);
+  const std::uint64_t f0 = seen[0].faults;
+  EXPECT_GT(f0, 0u);
+  // Slow path, then fast path with no further fault, for each word kind.
+  EXPECT_TRUE(same(seen[0].ev, seen[1].ev));
+  EXPECT_EQ(seen[1].faults, f0);
+  EXPECT_TRUE(same(seen[2].ev, seen[3].ev));
+  EXPECT_EQ(seen[2].faults, f0 + 1);
+  EXPECT_EQ(seen[3].faults, f0 + 1);
+  EXPECT_EQ(seen[4].faults, f0 + 2);
+  EXPECT_EQ(seen[5].faults, f0 + 2);
+  EXPECT_EQ(seen[0].ev.kind, ShmSystem::AccessKind::kRead);
+  EXPECT_EQ(seen[0].ev.site, 1);
+  EXPECT_EQ(seen[0].ev.seg, id);
+  EXPECT_EQ(seen[0].ev.page, 0);
+  EXPECT_EQ(seen[0].ev.offset, 8);
+  EXPECT_EQ(seen[0].ev.value, 0u);
+  EXPECT_EQ(seen[2].ev.kind, ShmSystem::AccessKind::kWrite);
+  EXPECT_EQ(seen[2].ev.value, 7u);
+  // TestAndSet events differ only in the pre-set value they returned.
+  ShmSystem::AccessEvent rmw = seen[4].ev;
+  EXPECT_EQ(rmw.kind, ShmSystem::AccessKind::kRmw);
+  EXPECT_EQ(rmw.page, 1);
+  EXPECT_EQ(rmw.offset, 4);
+  EXPECT_EQ(rmw.value, 0u);
+  rmw.value = 1;
+  EXPECT_TRUE(same(rmw, seen[5].ev));
+}
+
+// Building an access without awaiting it does nothing: no fault, no image
+// change, no hook.
+TEST_F(SysvTest, UnawaitedAccessIsLazy) {
+  int id = w.shm(0).Shmget(7, 512, true).value();
+  int hooked = 0;
+  w.shm(1).SetAccessHook([&](const ShmSystem::AccessEvent&) { ++hooked; });
+  AsProcess(1, [&](Process* p) -> Task<> {
+    auto& shm = w.shm(1);
+    mmem::VAddr base = shm.Shmat(p, id).value();
+    (void)shm.WriteWord(p, base, 9);  // built and dropped; page not resident
+    EXPECT_EQ(Faults(1), 0u);
+    EXPECT_EQ(hooked, 0);
+    co_await shm.WriteWord(p, base, 1);
+    (void)shm.WriteWord(p, base, 2);  // built and dropped; page resident, writable
+    EXPECT_EQ(hooked, 1);
+    EXPECT_EQ(co_await shm.ReadWord(p, base), 1u);
+  });
+}
+
+// A page invalidated while the process was off the CPU must not be read
+// through the stale process PTE: the schedule-in remap drops it and the
+// next access takes the fault path and sees the remote write.
+TEST_F(SysvTest, PageInvalidatedWhileReadyTakesFaultPath) {
+  int id = w.shm(0).Shmget(7, 512, true).value();
+  bool reader_done = false;
+  bool writer_done = false;
+  std::uint64_t faults_before = 0;
+  std::uint64_t faults_after = 0;
+  std::uint32_t seen = 0;
+  w.kernel(1).Spawn("reader", Priority::kUser, [&](Process* p) -> Task<> {
+    auto& shm = w.shm(1);
+    mmem::VAddr base = shm.Shmat(p, id).value();
+    EXPECT_EQ(co_await shm.ReadWord(p, base), 0u);  // read copy installed
+    co_await w.kernel(1).Compute(p, 2 * kSecond);    // writer strikes meanwhile
+    faults_before = Faults(1);
+    seen = co_await shm.ReadWord(p, base);
+    faults_after = Faults(1);
+    reader_done = true;
+  });
+  w.kernel(0).Spawn("writer", Priority::kUser, [&](Process* p) -> Task<> {
+    auto& shm = w.shm(0);
+    mmem::VAddr base = shm.Shmat(p, id).value();
+    co_await w.kernel(0).Compute(p, 500 * kMillisecond);
+    co_await shm.WriteWord(p, base, 42);
+    writer_done = true;
+  });
+  ASSERT_TRUE(w.RunUntil([&] { return reader_done && writer_done; }, 30 * kSecond));
+  EXPECT_EQ(seen, 42u);
+  EXPECT_EQ(faults_after, faults_before + 1);
+}
+
+// One million back-to-back resident accesses with no Compute in between:
+// the fast path never suspends, so this must not grow the stack even in
+// sanitizer builds, where symmetric transfer is not a tail call.
+TEST_F(SysvTest, MillionBackToBackResidentAccesses) {
+  constexpr int kPairs = 500000;
+  int id = w.shm(0).Shmget(7, 512, true).value();
+  AsProcess(0, [&](Process* p) -> Task<> {
+    auto& shm = w.shm(0);
+    mmem::VAddr base = shm.Shmat(p, id).value();
+    co_await shm.WriteWord(p, base, 0);
+    for (int i = 0; i < kPairs; ++i) {
+      const std::uint32_t v = co_await shm.ReadWord(p, base);
+      co_await shm.WriteWord(p, base, v + 1);
+    }
+    EXPECT_EQ(co_await shm.ReadWord(p, base), static_cast<std::uint32_t>(kPairs));
   });
 }
 
