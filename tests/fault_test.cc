@@ -747,6 +747,59 @@ TEST_F(FaultTest, RejoinBeforeAckTimeoutUnsticksQuorumWait) {
   EXPECT_TRUE(full.ok()) << (full.violations.empty() ? "" : full.violations[0]);
 }
 
+// A reconstruction that promotes several pages at one standby site waits for
+// one install ack per page. If that site crashes mid-promotion, every ack it
+// still owes must be forgiven at the next re-examination: forgiving it only
+// once leaves the wait short and parks the segment in recovery (refusing
+// every request) until the op deadline.
+TEST_F(FaultTest, PromotionTargetCrashForgivesEveryOwedAck) {
+  WorldOptions opts;
+  EnableRecovery(opts);
+  opts.protocol.replicas = 2;
+  opts.protocol.op_timeout_us = 2 * kSecond;
+  // The writer, site 1, dies holding the only primary copies of pages 0
+  // and 1. Their standbys are at sites 0 and 1 (the two lowest attached
+  // sites), so the library, site 2, promotes both pages at site 0.
+  opts.faults.CrashAt(300 * kMillisecond, 1);
+  w = std::make_unique<World>(3, std::move(opts));
+  shmid = w->shm(2).Shmget(1, 2048, true).value();
+  w->kernel(0).Spawn("standby", Priority::kUser, [this](Process* p) -> Task<> {
+    (void)w->shm(0).Shmat(p, shmid).value();
+    co_await w->kernel(0).SleepFor(p, 100 * kSecond);
+  });
+  w->kernel(1).Spawn("writer", Priority::kUser, [this](Process* p) -> Task<> {
+    auto& shm = w->shm(1);
+    co_await w->kernel(1).SleepFor(p, 5 * kMillisecond);
+    mmem::VAddr base = shm.Shmat(p, shmid).value();
+    co_await shm.WriteWord(p, base, 1);
+    co_await shm.WriteWord(p, base + mmem::kPageSize, 2);
+    co_await w->kernel(1).SleepFor(p, 100 * kSecond);  // crashed at 300 ms
+  });
+  // Crash site 0 as soon as the first promotion leaves the library, before
+  // it can ack any of them.
+  int promotions_to_0 = 0;
+  msim::Time crashed_at = -1;
+  w->network().AddSendObserver([&](const mnet::Packet& pkt, msim::Time now) {
+    if (pkt.type != static_cast<std::uint32_t>(mirage::MsgKind::kPromoteReplica) ||
+        pkt.dst != 0) {
+      return;
+    }
+    if (++promotions_to_0 == 1) {
+      crashed_at = now;
+      w->sim().Schedule(0, [&] {
+        w->faults()->Apply(mfault::FaultEvent{w->sim().Now(), mfault::FaultKind::kCrashSite, 0});
+      });
+    }
+  });
+  mirage::Engine* lib = w->engine(2);
+  ASSERT_TRUE(w->RunUntil([&] { return lib->stats().recoveries_completed >= 1; }, 10 * kSecond));
+  ASSERT_EQ(promotions_to_0, 2);
+  ASSERT_GE(crashed_at, 0);
+  EXPECT_EQ(lib->stats().degraded_acks, 2u);
+  // One ack re-examination (100 ms), not the 2 s op deadline.
+  EXPECT_LT(w->sim().Now() - crashed_at, 500 * kMillisecond);
+}
+
 // Revive after a partition: the site is cut off, crashes while partitioned,
 // and rejoins after the link heals. The revived site's circuits were reset,
 // so post-rejoin traffic flows without retransmit poisoning from the dead
