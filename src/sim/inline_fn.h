@@ -65,9 +65,21 @@ class OverflowPool {
   static constexpr std::size_t kBlockBytes = 256;
   static constexpr std::size_t kMaxPooled = 64;
 
+  // Owns the pooled blocks and frees them when the thread exits, so no
+  // pooled block outlives its thread (LeakSanitizer would report it).
+  struct Owner {
+    std::vector<void*> blocks;
+    ~Owner() {
+      for (void* p : blocks) {
+        ::operator delete(p);
+      }
+      blocks.clear();
+    }
+  };
+
   static std::vector<void*>& Freelist() {
-    thread_local std::vector<void*> pool;
-    return pool;
+    thread_local Owner pool;
+    return pool.blocks;
   }
 };
 
@@ -174,10 +186,12 @@ class InlineFunction<R(Args...), InlineBytes> {
         // The whole buffer is copied unconditionally: a fixed-size memcpy
         // compiles to a handful of wide stores, with no branch on the
         // closure's actual size. The bytes past the closure's real size are
-        // indeterminate and never read again — GCC's -Wmaybe-uninitialized
-        // can't see that, so the copy is exempted from the warning.
+        // indeterminate and never read again — GCC can't see that (GCC 12
+        // reports -Wuninitialized, older releases -Wmaybe-uninitialized), so
+        // the copy is exempted from both warnings.
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #endif
         std::memcpy(buf_, o.buf_, kInlineBytes);
