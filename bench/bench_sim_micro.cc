@@ -1,9 +1,10 @@
 // Simulator hot-path microbenchmark suite (DESIGN.md §10).
 //
 // Measures the event-queue primitives that dominate every experiment sweep —
-// schedule/fire throughput, schedule/cancel throughput, packet round-trips,
-// and a fig8-flavoured end-to-end run — and emits a machine-readable
-// BENCH_sim.json for the CI trajectory.
+// schedule/fire throughput, schedule/cancel throughput and packet
+// round-trips — and emits a machine-readable BENCH_sim.json for the CI
+// trajectory. End-to-end timing of whole workloads is perfbench's job
+// (perfbench/README.md).
 //
 // Every queue benchmark is measured twice: once against the live Simulator
 // (binary heap + slot pool + InlineFunction) and once against an in-binary
@@ -11,8 +12,7 @@
 // std::function, linear-scan Cancel). The recorded `speedup` is the ratio of
 // the two on the same host, which makes the number portable: a slow CI
 // runner slows both sides equally, so the checked-in baseline gates on
-// speedup, not raw events/s. End-to-end wall-clock numbers are reported for
-// the trajectory but not gated (they track host speed).
+// speedup, not raw events/s.
 //
 // Usage:
 //   bench_sim_micro                  human-readable table
@@ -37,8 +37,6 @@
 #include "src/exp/json.h"
 #include "src/net/network.h"
 #include "src/sim/simulator.h"
-#include "src/sysv/world.h"
-#include "src/workload/readwriters.h"
 
 namespace {
 
@@ -83,8 +81,6 @@ struct BenchResult {
   double ref_events_per_sec = 0.0;  // MapQueueRef; 0 when not applicable
   double speedup = 0.0;             // events_per_sec / ref_events_per_sec
   bool gated = false;               // participates in the baseline check
-  double wall_seconds = 0.0;        // end-to-end benches only
-  std::uint64_t sim_events = 0;     // end-to-end benches only
 };
 
 // ---- schedule+fire: `batch` events per round, mixed short future delays
@@ -217,27 +213,6 @@ BenchResult BenchPacketRoundTrip(double min_secs) {
   return out;
 }
 
-// ---- fig8-preset end-to-end: the 2-site conflicting read-writers workload
-// behind EXPERIMENTS.md figure 8, window 0 (maximum cross-site transfer
-// traffic), run to completion. Wall clock and simulator events/s are the
-// trajectory numbers; not gated (they scale with host speed).
-BenchResult BenchFig8EndToEnd(int iterations) {
-  BenchResult out;
-  out.name = "fig8_e2e";
-  msysv::WorldOptions opts;
-  opts.protocol.default_window_us = 0;
-  msysv::World world(2, opts);
-  mwork::ReadWritersParams prm;
-  prm.iterations = iterations;
-  auto t0 = WallClock::now();
-  auto r = mwork::LaunchReadWriters(world, prm);
-  world.RunUntil([&] { return r->completed(); }, 600 * msim::kSecond);
-  out.wall_seconds = SecondsSince(t0);
-  out.sim_events = world.sim().ProcessedEvents();
-  out.events_per_sec = static_cast<double>(out.sim_events) / out.wall_seconds;
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 
 mexp::Json ToJson(const std::vector<BenchResult>& results) {
@@ -253,10 +228,6 @@ mexp::Json ToJson(const std::vector<BenchResult>& results) {
       b.Set("speedup", r.speedup);
     }
     b.Set("gated", r.gated);
-    if (r.wall_seconds > 0.0) {
-      b.Set("wall_seconds", r.wall_seconds);
-      b.Set("sim_events", r.sim_events);
-    }
     arr.Push(std::move(b));
   }
   root.Set("benchmarks", std::move(arr));
@@ -341,17 +312,12 @@ int main(int argc, char** argv) {
   results.push_back(BenchScheduleFire(64, /*zero_delay=*/true, min_secs));
   results.push_back(BenchScheduleCancel(1024, min_secs));
   results.push_back(BenchPacketRoundTrip(min_secs));
-  results.push_back(BenchFig8EndToEnd(quick ? 10000 : 50000));
 
   std::printf("%-26s %14s %14s %9s\n", "benchmark", "events/s", "ref events/s", "speedup");
   for (const BenchResult& r : results) {
     if (r.ref_events_per_sec > 0.0) {
       std::printf("%-26s %14.0f %14.0f %8.2fx\n", r.name.c_str(), r.events_per_sec,
                   r.ref_events_per_sec, r.speedup);
-    } else if (r.wall_seconds > 0.0) {
-      std::printf("%-26s %14.0f %14s %8s  (%.3fs wall, %llu events)\n", r.name.c_str(),
-                  r.events_per_sec, "-", "-", r.wall_seconds,
-                  static_cast<unsigned long long>(r.sim_events));
     } else {
       std::printf("%-26s %14.0f %14s %8s\n", r.name.c_str(), r.events_per_sec, "-", "-");
     }

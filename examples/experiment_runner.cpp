@@ -24,35 +24,11 @@
 //                throughput degrades as zipf-s rises and kv_replicas=2
 //                recovers it for read-heavy mixes
 //
-// Axis/override options (comma-separated lists make a grid):
-//   --workload=W             readwriters|pingpong|spinlock|scalability|matrix|dot|tsp|kvstore
-//   --sites=2,4,8            site-count axis
-//   --delta=0,120,600        time-window axis (ms)
-//   --quantum=6              scheduling-quantum axis (ticks)
-//   --segbytes=512           segment-size axis (bytes)
-//   --loss=0,0.02            frame-loss axis (probability)
-//   --replicas=1,2,3         page-replication-degree axis (1 = single copy)
-//   --zipf=0,0.9,1.3         kvstore key-popularity-skew axis
-//   --mix=0.5,0.95           kvstore get-fraction axis
-//   --kvreplicas=1,2         kvstore data-replication axis (table copies)
-//   --cost=ethernet1989,rdma cost-model preset axis (network/CPU constants)
-//   --keys=N --rate=R --kvops=N
-//                            kvstore key space, per-site arrival rate (/s),
-//                            and generated ops per site
-//   --reps=5                 repetitions per grid point
-//   --offsets=0,170,410      per-repetition start phases (ms)
-//   --seed=N                 spec seed (per-run seeds derive from it)
-//   --iters=N --rounds=N     workload sizes
-//   --lib=S                  pre-create the segment at site S (its library
-//                            site) so a crash plan can target a pure
-//                            controller (pingpong/readwriters)
-//   --crash=S@T --pause=S@T1:T2 --cut=A-B@T1:T2
-//                            add one fault plan (repeatable; scenario_runner
-//                            syntax, times in ms)
-//   --recover=T:SITE         revive a crashed site at T ms (appends to the
-//                            most recent fault plan, so place it after the
-//                            --crash it undoes)
-//   --max-time-s=600         per-run simulated-time cap
+// Axis/override options: the spec flags shared with scenario_runner
+// (src/exp/flags.h), applied in argument order; a preset replaces the
+// whole spec, so name it first. Comma lists make a grid (--sites=2,4,8
+// --delta=0,120); each --crash/--pause/--cut adds one fault plan, and
+// --recover extends the most recent one.
 //
 // Execution and output:
 //   --threads=N     worker threads (default: hardware concurrency). The
@@ -67,45 +43,19 @@
 //   --quiet         no stderr progress ticker
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <mutex>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/exp/flags.h"
 #include "src/exp/report.h"
-#include "src/net/cost_model.h"
 #include "src/trace/table.h"
 
 namespace {
-
-std::vector<std::string> SplitCommas(const std::string& s) {
-  std::vector<std::string> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    out.push_back(item);
-  }
-  return out;
-}
-
-template <typename T, typename Fn>
-bool ParseList(const std::string& arg, std::vector<T>* out, Fn convert) {
-  std::vector<T> vals;
-  for (const std::string& s : SplitCommas(arg)) {
-    if (s.empty()) {
-      return false;
-    }
-    vals.push_back(convert(s));
-  }
-  if (vals.empty()) {
-    return false;
-  }
-  *out = std::move(vals);
-  return true;
-}
 
 mexp::ExperimentSpec Fig8Spec() {
   mexp::ExperimentSpec spec;
@@ -215,22 +165,26 @@ mexp::ExperimentSpec KvStoreSpec() {
   return spec;
 }
 
-bool LoadSpecFile(const std::string& path, mexp::ExperimentSpec* spec) {
+const std::map<std::string, mexp::ExperimentSpec (*)()> kPresets = {
+    {"fig8", Fig8Spec},
+    {"amelioration", AmeliorationSpec},
+    {"scalematrix", ScaleMatrixSpec},
+    {"availability", AvailabilitySpec},
+    {"kvstore", KvStoreSpec}};
+
+// Reads and parses a JSON file; `what` names it in error messages.
+bool ReadJsonFile(const std::string& path, const char* what, mexp::Json* out) {
   std::ifstream in(path);
   if (!in) {
-    std::fprintf(stderr, "cannot open spec file '%s'\n", path.c_str());
+    std::fprintf(stderr, "cannot open %s '%s'\n", what, path.c_str());
     return false;
   }
   std::stringstream buf;
   buf << in.rdbuf();
   std::string error;
-  mexp::Json j = mexp::Json::Parse(buf.str(), &error);
+  *out = mexp::Json::Parse(buf.str(), &error);
   if (!error.empty()) {
-    std::fprintf(stderr, "spec parse error: %s\n", error.c_str());
-    return false;
-  }
-  if (!mexp::ExperimentSpec::FromJson(j, spec, &error)) {
-    std::fprintf(stderr, "bad spec: %s\n", error.c_str());
+    std::fprintf(stderr, "%s parse error: %s\n", what, error.c_str());
     return false;
   }
   return true;
@@ -268,146 +222,29 @@ void PrintSummary(const mexp::ExperimentReport& report) {
 
 int main(int argc, char** argv) {
   mexp::ExperimentSpec spec;
-  bool have_spec = false;
+  mexp::SpecFlags flags(mexp::SpecFlags::Mode::kSweep);
   int threads = 0;
   bool quiet = false;
   std::string out_path;
   std::string csv_path;
   std::string baseline_path;
   double tolerance = 0.10;
-  int next_plan = 1;
 
   for (int i = 1; i < argc; ++i) {
     std::string s = argv[i];
     auto value = [&s]() { return s.substr(s.find('=') + 1); };
-    bool ok = true;
-    if (s == "fig8") {
-      spec = Fig8Spec();
-      have_spec = true;
-    } else if (s == "amelioration") {
-      spec = AmeliorationSpec();
-      have_spec = true;
-    } else if (s == "scalematrix") {
-      spec = ScaleMatrixSpec();
-      have_spec = true;
-    } else if (s == "availability") {
-      spec = AvailabilitySpec();
-      have_spec = true;
-    } else if (s == "kvstore") {
-      spec = KvStoreSpec();
-      have_spec = true;
+    std::string error;
+    if (auto preset = kPresets.find(s); preset != kPresets.end()) {
+      spec = preset->second();
     } else if (s.rfind("--spec=", 0) == 0) {
-      if (!LoadSpecFile(value(), &spec)) {
+      mexp::Json j;
+      if (!ReadJsonFile(value(), "spec file", &j)) {
         return 2;
       }
-      have_spec = true;
-    } else if (s.rfind("--workload=", 0) == 0) {
-      spec.workload = value();
-    } else if (s.rfind("--sites=", 0) == 0) {
-      ok = ParseList<int>(value(), &spec.sites,
-                          [](const std::string& v) { return std::atoi(v.c_str()); });
-    } else if (s.rfind("--delta=", 0) == 0) {
-      ok = ParseList<std::int64_t>(value(), &spec.delta_ms,
-                                   [](const std::string& v) { return std::atol(v.c_str()); });
-    } else if (s.rfind("--quantum=", 0) == 0) {
-      ok = ParseList<int>(value(), &spec.quantum_ticks,
-                          [](const std::string& v) { return std::atoi(v.c_str()); });
-    } else if (s.rfind("--segbytes=", 0) == 0) {
-      ok = ParseList<std::uint32_t>(value(), &spec.segment_bytes, [](const std::string& v) {
-        return static_cast<std::uint32_t>(std::atol(v.c_str()));
-      });
-    } else if (s.rfind("--loss=", 0) == 0) {
-      ok = ParseList<double>(value(), &spec.loss,
-                             [](const std::string& v) { return std::atof(v.c_str()); });
-    } else if (s.rfind("--replicas=", 0) == 0) {
-      ok = ParseList<int>(value(), &spec.replicas,
-                          [](const std::string& v) { return std::atoi(v.c_str()); });
-    } else if (s.rfind("--zipf=", 0) == 0) {
-      ok = ParseList<double>(value(), &spec.zipf_s,
-                             [](const std::string& v) { return std::atof(v.c_str()); });
-    } else if (s.rfind("--mix=", 0) == 0) {
-      ok = ParseList<double>(value(), &spec.get_mix,
-                             [](const std::string& v) { return std::atof(v.c_str()); });
-    } else if (s.rfind("--kvreplicas=", 0) == 0) {
-      ok = ParseList<int>(value(), &spec.kv_replicas,
-                          [](const std::string& v) { return std::atoi(v.c_str()); });
-    } else if (s.rfind("--cost=", 0) == 0) {
-      ok = ParseList<std::string>(value(), &spec.cost_presets,
-                                  [](const std::string& v) { return v; });
-      for (const std::string& cp : spec.cost_presets) {
-        mnet::CostModel unused;
-        if (!mnet::CostModel::FromName(cp, &unused)) {
-          std::fprintf(stderr, "unknown cost preset '%s' (ethernet1989, rdma)\n", cp.c_str());
-          return 2;
-        }
-      }
-    } else if (s.rfind("--keys=", 0) == 0) {
-      spec.kv_keys = static_cast<std::uint32_t>(std::atol(value().c_str()));
-    } else if (s.rfind("--rate=", 0) == 0) {
-      spec.kv_arrival_per_s = std::atof(value().c_str());
-    } else if (s.rfind("--kvops=", 0) == 0) {
-      spec.kv_ops_per_site = static_cast<std::uint32_t>(std::atol(value().c_str()));
-    } else if (s.rfind("--offsets=", 0) == 0) {
-      ok = ParseList<std::int64_t>(value(), &spec.phase_offsets_ms,
-                                   [](const std::string& v) { return std::atol(v.c_str()); });
-    } else if (s.rfind("--reps=", 0) == 0) {
-      spec.repetitions = std::atoi(value().c_str());
-    } else if (s.rfind("--seed=", 0) == 0) {
-      spec.seed = std::strtoull(value().c_str(), nullptr, 0);
-    } else if (s.rfind("--iters=", 0) == 0) {
-      spec.iterations = std::atoi(value().c_str());
-    } else if (s.rfind("--rounds=", 0) == 0) {
-      spec.rounds = std::atoi(value().c_str());
-    } else if (s.rfind("--lib=", 0) == 0) {
-      spec.library_site = std::atoi(value().c_str());
-    } else if (s.rfind("--max-time-s=", 0) == 0) {
-      spec.max_time_s = std::atol(value().c_str());
-    } else if (s.rfind("--crash=", 0) == 0) {
-      int site = 0;
-      long t = 0;
-      if (std::sscanf(s.c_str() + 8, "%d@%ld", &site, &t) != 2) {
-        std::fprintf(stderr, "bad --crash, want S@Tms\n");
+      if (!mexp::ExperimentSpec::FromJson(j, &spec, &error)) {
+        std::fprintf(stderr, "bad spec: %s\n", error.c_str());
         return 2;
       }
-      mexp::FaultPlanSpec fp;
-      fp.name = "crash" + std::to_string(next_plan++);
-      fp.plan.CrashAt(t * msim::kMillisecond, site);
-      spec.fault_plans.push_back(std::move(fp));
-    } else if (s.rfind("--recover=", 0) == 0) {
-      long t = 0;
-      int site = 0;
-      if (std::sscanf(s.c_str() + 10, "%ld:%d", &t, &site) != 2) {
-        std::fprintf(stderr, "bad --recover, want Tms:SITE\n");
-        return 2;
-      }
-      if (spec.fault_plans.empty()) {
-        std::fprintf(stderr, "--recover needs a preceding --crash plan to extend\n");
-        return 2;
-      }
-      spec.fault_plans.back().plan.RecoverAt(t * msim::kMillisecond, site);
-    } else if (s.rfind("--pause=", 0) == 0) {
-      int site = 0;
-      long t1 = 0, t2 = 0;
-      if (std::sscanf(s.c_str() + 8, "%d@%ld:%ld", &site, &t1, &t2) != 3 || t2 < t1) {
-        std::fprintf(stderr, "bad --pause, want S@T1:T2 ms\n");
-        return 2;
-      }
-      mexp::FaultPlanSpec fp;
-      fp.name = "pause" + std::to_string(next_plan++);
-      fp.plan.PauseAt(t1 * msim::kMillisecond, site).ResumeAt(t2 * msim::kMillisecond, site);
-      spec.fault_plans.push_back(std::move(fp));
-    } else if (s.rfind("--cut=", 0) == 0) {
-      int sa = 0, sb = 0;
-      long t1 = 0, t2 = 0;
-      if (std::sscanf(s.c_str() + 6, "%d-%d@%ld:%ld", &sa, &sb, &t1, &t2) != 4 || t2 < t1) {
-        std::fprintf(stderr, "bad --cut, want A-B@T1:T2 ms\n");
-        return 2;
-      }
-      mexp::FaultPlanSpec fp;
-      fp.name = "cut" + std::to_string(next_plan++);
-      fp.plan.PartitionAt(t1 * msim::kMillisecond, sa, sb)
-          .HealAt(t2 * msim::kMillisecond, sa, sb);
-      spec.fault_plans.push_back(std::move(fp));
     } else if (s.rfind("--threads=", 0) == 0) {
       threads = std::atoi(value().c_str());
     } else if (s.rfind("--out=", 0) == 0) {
@@ -420,20 +257,17 @@ int main(int argc, char** argv) {
       tolerance = std::atof(value().c_str());
     } else if (s == "--quiet") {
       quiet = true;
-    } else {
-      std::fprintf(stderr, "unknown argument '%s' (see the header comment for usage)\n",
-                   s.c_str());
-      return 2;
-    }
-    if (!ok) {
-      std::fprintf(stderr, "bad list in '%s'\n", s.c_str());
+    } else if (mexp::SpecFlags::Result res = flags.Apply(s, &spec, &error);
+               res != mexp::SpecFlags::Result::kApplied) {
+      if (res == mexp::SpecFlags::Result::kNotShared) {
+        error = "unknown argument '" + s + "' (see the header comment for usage)";
+      }
+      std::fprintf(stderr, "%s\n", error.c_str());
       return 2;
     }
   }
-  (void)have_spec;  // flags alone define a valid default spec
-
-  if (!mexp::KnownWorkload(spec.workload)) {
-    std::fprintf(stderr, "unknown workload '%s'\n", spec.workload.c_str());
+  if (std::string error; !flags.Finish(spec, &error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
     return 2;
   }
 
@@ -493,17 +327,8 @@ int main(int argc, char** argv) {
   }
 
   if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path);
-    if (!in) {
-      std::fprintf(stderr, "cannot open baseline '%s'\n", baseline_path.c_str());
-      return 2;
-    }
-    std::stringstream buf;
-    buf << in.rdbuf();
-    std::string error;
-    mexp::Json base = mexp::Json::Parse(buf.str(), &error);
-    if (!error.empty()) {
-      std::fprintf(stderr, "baseline parse error: %s\n", error.c_str());
+    mexp::Json base;
+    if (!ReadJsonFile(baseline_path, "baseline", &base)) {
       return 2;
     }
     std::vector<mexp::DiffEntry> diffs = mexp::DiffReports(base, doc, tolerance);

@@ -2,423 +2,123 @@
 // window Delta; get throughput, a per-site activity report, and optionally
 // a full protocol trace. The Swiss-army knife for exploring the system.
 //
+// A scenario is a single-point ExperimentSpec run by the harness's
+// ExecuteRun. The text report and --json are one run with one seed, so
+// they agree on every number.
+//
 // Usage:
 //   scenario_runner [workload] [sites] [delta_ms] [options]
-//     workload:  pingpong | readwriters | spinlock | matrix | dot | tsp | kvstore
-//     sites:     2..12            (default 2)
-//     delta_ms:  window in ms     (default 0)
+//     workload:  pingpong (default) | readwriters | spinlock | scalability |
+//                matrix | dot | tsp | kvstore
+//     sites:     1..512 (default 2)
+//     delta_ms:  window in ms (default 0)
 //   options:
-//     --no-yield      busy-wait instead of yield() in spin loops
-//     --cost=NAME     cost-model preset: ethernet1989 (default, the paper's
-//                     measured VAX/Ethernet constants) or rdma (a modern
-//                     microsecond-scale interconnect ablation)
-//     --zipf=S        kvstore key-popularity skew (0 = uniform)
-//     --mix=G         kvstore get fraction (default 0.95)
-//     --kvreplicas=R  kvstore data-level table copies (default 1)
-//     --keys=N --rate=R --kvops=N
-//                     kvstore key space, per-site arrival rate (/s), and
-//                     generated ops per site
-//     --json          emit a mirage-exp-v2 JSON report (single point) to
-//                     stdout instead of the human-readable report, so fault
-//                     scenarios feed the same aggregation pipeline as
-//                     experiment_runner sweeps
-//     --replicas=K    keep K quorum-replicated copies of every page (cold
-//                     standbys of the last committed version); 1 = off
-//     --trace         print the protocol event trace
-//     --parallel-lib  enable concurrent library service of distinct pages
-//     --baseline      run over the Li/Hudak protocol instead of Mirage
-//     --loss=P        drop each frame with probability P (virtual circuits
-//                     retransmit; 0 < P < 1)
-//     --lib=S         pre-create the workload segment at site S, making it
-//                     the library site (pingpong/readwriters); lets a crash
-//                     plan kill a pure-controller library while every
-//                     workload process survives and fails over
-//     --crash=S@T     crash site S at T ms (permanent unless recovered)
-//     --recover=T:SITE
-//                     revive crashed site SITE at T ms with amnesia; it
-//                     rejoins through the epoch-fenced re-admission
-//                     handshake and is pulled back into the standby set
-//                     (the report gains a rejoin line: downtime/MTTR,
-//                     re-spreads, resurrected pages)
-//     --pause=S@T1:T2 pause site S's inbound delivery from T1 to T2 ms
-//     --cut=A-B@T1:T2 partition the A<->B link from T1 to T2 ms
+//     --json      emit a single-point mirage-exp-v2 JSON report instead of
+//                 the text report, for the experiment_runner pipeline
+//     --trace     append the protocol event trace to the text report
+//   plus the spec flags shared with experiment_runner, one value each
+//   (src/exp/flags.h): --seed=N, --replicas=K, --loss=P, --lib=S,
+//   --cost=NAME, the kvstore knobs, --rounds=N (default 40), --baseline,
+//   --parallel-lib, --no-yield and the fault flags --crash=S@T,
+//   --recover=T:SITE, --pause=S@T1:T2, --cut=A-B@T1:T2. A spec that
+//   expands to more than one run is refused: sweep it with
+//   experiment_runner.
 //
-// Any fault flag enables the protocol recovery timeouts (request backoff,
-// ack timeouts, op deadline) and, when circuits are active, forced
-// sequencing so healed partitions recover by retransmission. Post-run
-// invariant checking scopes itself to live sites: a crashed site's frozen
-// copies are not part of the system, and pages lost in recovery make no
-// directory promises.
+// The fault flags build one fault plan, in flag order. Any fault enables
+// the protocol recovery timeouts (request backoff, ack timeouts, op
+// deadline) and, when circuits are active, forced sequencing so healed
+// partitions recover by retransmission. Post-run invariant checking scopes
+// itself to live sites: a crashed site's frozen copies are not part of the
+// system, and pages lost in recovery make no directory promises. A
+// --recover adds a rejoin line (downtime/MTTR, re-spreads, resurrected
+// pages) to the report.
+//
+// Exit code: 0 = the workload completed, 1 = it did not, 2 = bad arguments.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
-#include <memory>
+#include <iterator>
 #include <string>
+#include <vector>
 
-#include "src/baseline/li_engine.h"
+#include "src/exp/flags.h"
 #include "src/exp/report.h"
-#include "src/trace/histogram.h"
 #include "src/mirage/invariants.h"
-#include "src/workload/dotproduct.h"
-#include "src/workload/kvstore.h"
-#include "src/workload/matrix.h"
-#include "src/workload/pingpong.h"
-#include "src/workload/readwriters.h"
-#include "src/workload/spinlock.h"
-#include "src/workload/tsp.h"
+#include "src/sysv/world.h"
 
 namespace {
 
-struct Args {
-  std::string workload = "pingpong";
-  int sites = 2;
-  int delta_ms = 0;
-  bool yield = true;
-  bool trace = false;
-  bool parallel_lib = false;
-  bool baseline = false;
-  double loss = 0.0;
-  int replicas = 1;
-  bool json = false;
-  int library_site = 0;
-  double zipf_s = 0.0;
-  double get_mix = 0.95;
-  int kv_replicas = 1;
-  std::uint32_t kv_keys = 192;
-  double kv_rate = 120.0;
-  std::uint32_t kv_ops = 200;
-  std::string cost_preset = "ethernet1989";
-  mfault::FaultPlan faults;
-  bool faulted = false;
-};
-
-Args Parse(int argc, char** argv) {
-  Args a;
-  int pos = 0;
-  for (int i = 1; i < argc; ++i) {
-    std::string s = argv[i];
-    if (s == "--no-yield") {
-      a.yield = false;
-    } else if (s == "--json") {
-      a.json = true;
-    } else if (s == "--trace") {
-      a.trace = true;
-    } else if (s == "--parallel-lib") {
-      a.parallel_lib = true;
-    } else if (s == "--baseline") {
-      a.baseline = true;
-    } else if (s.rfind("--cost=", 0) == 0) {
-      a.cost_preset = s.substr(7);
-      mnet::CostModel unused;
-      if (!mnet::CostModel::FromName(a.cost_preset, &unused)) {
-        std::fprintf(stderr, "unknown cost preset '%s' (ethernet1989, rdma)\n",
-                     a.cost_preset.c_str());
-        std::exit(2);
-      }
-    } else if (s.rfind("--loss=", 0) == 0) {
-      a.loss = std::atof(s.c_str() + 7);
-    } else if (s.rfind("--replicas=", 0) == 0) {
-      a.replicas = std::atoi(s.c_str() + 11);
-      if (a.replicas < 1 || a.replicas > 12) {
-        std::fprintf(stderr, "--replicas must be in 1..12\n");
-        std::exit(2);
-      }
-    } else if (s.rfind("--lib=", 0) == 0) {
-      a.library_site = std::atoi(s.c_str() + 6);
-    } else if (s.rfind("--zipf=", 0) == 0) {
-      a.zipf_s = std::atof(s.c_str() + 7);
-    } else if (s.rfind("--mix=", 0) == 0) {
-      a.get_mix = std::atof(s.c_str() + 6);
-      if (a.get_mix < 0.0 || a.get_mix > 1.0) {
-        std::fprintf(stderr, "--mix must be in [0, 1]\n");
-        std::exit(2);
-      }
-    } else if (s.rfind("--kvreplicas=", 0) == 0) {
-      a.kv_replicas = std::atoi(s.c_str() + 13);
-      if (a.kv_replicas < 1 || a.kv_replicas > 12) {
-        std::fprintf(stderr, "--kvreplicas must be in 1..12\n");
-        std::exit(2);
-      }
-    } else if (s.rfind("--keys=", 0) == 0) {
-      a.kv_keys = static_cast<std::uint32_t>(std::atol(s.c_str() + 7));
-    } else if (s.rfind("--rate=", 0) == 0) {
-      a.kv_rate = std::atof(s.c_str() + 7);
-    } else if (s.rfind("--kvops=", 0) == 0) {
-      a.kv_ops = static_cast<std::uint32_t>(std::atol(s.c_str() + 8));
-    } else if (s.rfind("--crash=", 0) == 0) {
-      int site = 0;
-      long t = 0;
-      if (std::sscanf(s.c_str() + 8, "%d@%ld", &site, &t) != 2) {
-        std::fprintf(stderr, "bad --crash, want S@Tms: %s\n", s.c_str());
-        std::exit(2);
-      }
-      a.faults.CrashAt(t * msim::kMillisecond, site);
-      a.faulted = true;
-    } else if (s.rfind("--recover=", 0) == 0) {
-      long t = 0;
-      int site = 0;
-      if (std::sscanf(s.c_str() + 10, "%ld:%d", &t, &site) != 2) {
-        std::fprintf(stderr, "bad --recover, want Tms:SITE: %s\n", s.c_str());
-        std::exit(2);
-      }
-      a.faults.RecoverAt(t * msim::kMillisecond, site);
-      a.faulted = true;
-    } else if (s.rfind("--pause=", 0) == 0) {
-      int site = 0;
-      long t1 = 0, t2 = 0;
-      if (std::sscanf(s.c_str() + 8, "%d@%ld:%ld", &site, &t1, &t2) != 3 || t2 < t1) {
-        std::fprintf(stderr, "bad --pause, want S@T1:T2 ms: %s\n", s.c_str());
-        std::exit(2);
-      }
-      a.faults.PauseAt(t1 * msim::kMillisecond, site)
-          .ResumeAt(t2 * msim::kMillisecond, site);
-      a.faulted = true;
-    } else if (s.rfind("--cut=", 0) == 0) {
-      int sa = 0, sb = 0;
-      long t1 = 0, t2 = 0;
-      if (std::sscanf(s.c_str() + 6, "%d-%d@%ld:%ld", &sa, &sb, &t1, &t2) != 4 || t2 < t1) {
-        std::fprintf(stderr, "bad --cut, want A-B@T1:T2 ms: %s\n", s.c_str());
-        std::exit(2);
-      }
-      a.faults.PartitionAt(t1 * msim::kMillisecond, sa, sb)
-          .HealAt(t2 * msim::kMillisecond, sa, sb);
-      a.faulted = true;
-    } else if (pos == 0) {
-      a.workload = s;
-      ++pos;
-    } else if (pos == 1) {
-      a.sites = std::atoi(s.c_str());
-      ++pos;
-    } else if (pos == 2) {
-      a.delta_ms = std::atoi(s.c_str());
-      ++pos;
-    }
+void PrintHeader(const mexp::RunConfig& cfg) {
+  std::printf("scenario: %s, %d sites, Delta=%d ms%s%s%s", cfg.workload.c_str(), cfg.sites,
+              static_cast<int>(cfg.delta_ms), cfg.use_yield ? "" : ", no yield",
+              cfg.parallel_lib ? ", parallel library" : "",
+              cfg.baseline ? ", Li/Hudak baseline" : "");
+  if (cfg.cost_preset != "ethernet1989") {
+    std::printf(", %s costs", cfg.cost_preset.c_str());
   }
-  return a;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  Args args = Parse(argc, argv);
-  if (args.sites < 1 || args.sites > 12) {
-    std::fprintf(stderr, "sites must be in 1..12\n");
-    return 2;
+  if (cfg.loss > 0.0) {
+    std::printf(", %.0f%% frame loss", cfg.loss * 100.0);
   }
-  if (std::string err; !args.faults.Validate(&err)) {
-    std::fprintf(stderr, "invalid fault plan: %s\n", err.c_str());
-    return 2;
+  if (cfg.replicas > 1) {
+    std::printf(", %d replicas", cfg.replicas);
   }
-
-  if (args.json) {
-    // Machine-readable mode: run the identical scenario through the
-    // experiment harness and emit a single-point mirage-exp-v2 report, so a
-    // fault scenario lands in the same aggregation/diff pipeline as a sweep.
-    if (!mexp::KnownWorkload(args.workload)) {
-      std::fprintf(stderr, "unknown workload '%s'\n", args.workload.c_str());
-      return 2;
-    }
-    mexp::ExperimentSpec spec;
-    spec.name = "scenario:" + args.workload;
-    spec.workload = args.workload;
-    spec.sites = {args.sites};
-    spec.delta_ms = {args.delta_ms};
-    spec.loss = {args.loss};
-    spec.replicas = {args.replicas};
-    spec.use_yield = args.yield;
-    spec.parallel_lib = args.parallel_lib;
-    spec.baseline = args.baseline;
-    spec.rounds = 40;  // the human-readable path's ping-pong round count
-    spec.max_time_s = 900;
-    spec.library_site = args.library_site;
-    spec.zipf_s = {args.zipf_s};
-    spec.get_mix = {args.get_mix};
-    spec.kv_replicas = {args.kv_replicas};
-    spec.kv_keys = args.kv_keys;
-    spec.kv_arrival_per_s = args.kv_rate;
-    spec.kv_ops_per_site = args.kv_ops;
-    spec.cost_presets = {args.cost_preset};
-    if (args.faulted) {
-      mexp::FaultPlanSpec fp;
-      fp.name = "scenario";
-      fp.plan = args.faults;
-      spec.fault_plans.push_back(std::move(fp));
-    }
-    mexp::ExperimentReport report = mexp::ExperimentRunner(1).Run(spec);
-    mexp::ReportToJson(report).Dump(std::cout);
-    std::cout << "\n";
-    return report.failed_runs == 0 ? 0 : 1;
-  }
-
-  msysv::WorldOptions opts;
-  if (!mnet::CostModel::FromName(args.cost_preset, &opts.costs)) {
-    std::fprintf(stderr, "unknown cost preset '%s'\n", args.cost_preset.c_str());
-    return 2;
-  }
-  opts.enable_trace = args.trace;
-  opts.protocol.default_window_us =
-      static_cast<msim::Duration>(args.delta_ms) * msim::kMillisecond;
-  opts.protocol.parallel_page_ops = args.parallel_lib;
-  opts.protocol.replicas = args.replicas;
-  if (args.loss > 0.0) {
-    opts.circuit = mnet::CircuitOptions{};
-    opts.circuit->loss_probability = args.loss;
-  }
-  if (args.faulted) {
-    opts.faults = args.faults;
-    // Recovery timeouts: without these the paper's wait-forever defaults
-    // would hang any client of a crashed library site.
-    opts.protocol.request_timeout_us = 250 * msim::kMillisecond;
-    opts.protocol.max_request_attempts = 5;
-    opts.protocol.ack_timeout_us = 250 * msim::kMillisecond;
-    opts.protocol.op_timeout_us = 2 * msim::kSecond;
-    if (opts.circuit.has_value()) {
-      opts.circuit->force_sequencing = true;  // heal recovers by retransmit
-    }
-  }
-  if (args.baseline) {
-    opts.backend_factory = [](mos::Kernel* k, mirage::SegmentRegistry* reg,
-                              mtrace::Tracer* tr) -> std::unique_ptr<mmem::DsmBackend> {
-      return std::make_unique<mbase::LiEngine>(k, reg, tr);
-    };
-  }
-  msysv::World world(args.sites, opts);
-
-  std::printf("scenario: %s, %d sites, Delta=%d ms%s%s%s", args.workload.c_str(),
-              args.sites, args.delta_ms, args.yield ? "" : ", no yield",
-              args.parallel_lib ? ", parallel library" : "",
-              args.baseline ? ", Li/Hudak baseline" : "");
-  if (args.cost_preset != "ethernet1989") {
-    std::printf(", %s costs", args.cost_preset.c_str());
-  }
-  if (args.loss > 0.0) {
-    std::printf(", %.0f%% frame loss", args.loss * 100.0);
-  }
-  if (args.replicas > 1) {
-    std::printf(", %d replicas", args.replicas);
-  }
-  if (args.faulted) {
-    std::printf(", %zu fault events", args.faults.events().size());
+  if (!cfg.faults.empty()) {
+    std::printf(", %zu fault events", cfg.faults.events().size());
   }
   std::printf("\n\n");
+}
 
-  // Under faults a workload client may get EIDRM (library/clock site gone);
-  // report it as a failed run instead of crashing the driver.
-  auto run_workload = [&world](const std::function<bool()>& done) {
-    try {
-      return world.RunUntil(done, 900 * msim::kSecond);
-    } catch (const msysv::PageFaultError& e) {
-      std::printf("workload aborted: %s (%s)\n", e.what(), msysv::ShmErrName(e.err()));
-      return false;
-    }
-  };
-
-  // --lib=S: make site S the library by pre-creating the segment there; the
-  // workload's own Shmget then finds the existing key.
-  auto prehome = [&world, &args](std::uint64_t key, std::uint32_t bytes) {
-    if (args.library_site > 0 && args.library_site < args.sites) {
-      (void)world.shm(args.library_site).Shmget(key, bytes, /*create=*/true);
-    }
-  };
-
-  bool ok = false;
-  if (args.workload == "pingpong") {
-    mwork::PingPongParams prm;
-    prm.rounds = 40;
-    prm.use_yield = args.yield;
-    prm.site_b = args.sites >= 2 ? 1 : 0;
-    prehome(prm.key, prm.segment_bytes);
-    auto r = mwork::LaunchPingPong(world, prm);
-    ok = run_workload([&] { return r->completed(); });
-    std::printf("throughput: %.2f cycles/s over %d cycles\n\n", r->CyclesPerSecond(),
-                r->cycles);
-  } else if (args.workload == "readwriters") {
-    mwork::ReadWritersParams prm;
-    prm.iterations = 50000;
-    prehome(prm.key, prm.segment_bytes);
-    auto r = mwork::LaunchReadWriters(world, prm);
-    ok = run_workload([&] { return r->completed(); });
-    std::printf("throughput: %.0f read-write ops/s\n\n", r->OpsPerSecond());
-  } else if (args.workload == "spinlock") {
-    mwork::SpinlockParams prm;
-    prm.use_yield = args.yield;
-    auto r = mwork::LaunchSpinlock(world, prm);
-    ok = run_workload([&] { return r->completed; });
-    std::printf("throughput: %.2f critical sections/s (mutex %s)\n\n",
-                r->SectionsPerSecond(),
-                r->final_counter == static_cast<std::uint64_t>(2 * 30 * 4) ? "held" : "BROKEN");
-  } else if (args.workload == "matrix") {
-    mwork::MatrixParams prm;
-    prm.n = 24;
-    prm.workers = args.sites;
-    auto r = mwork::LaunchMatrixMultiply(world, prm);
-    ok = run_workload([&] { return r->completed; });
-    std::printf("elapsed: %.3f s (%s)\n\n", r->ElapsedSeconds(),
-                r->verified ? "verified" : "WRONG RESULT");
-  } else if (args.workload == "dot") {
-    mwork::DotProductParams prm;
-    prm.length = 2048;
-    prm.workers = args.sites;
-    auto r = mwork::LaunchDotProduct(world, prm);
-    ok = run_workload([&] { return r->completed; });
-    std::printf("elapsed: %.3f s (%s)\n\n", r->ElapsedSeconds(),
-                r->verified ? "verified" : "WRONG RESULT");
-  } else if (args.workload == "tsp") {
-    mwork::TspParams prm;
-    prm.cities = 8;
-    prm.workers = args.sites;
-    auto r = mwork::LaunchTsp(world, prm);
-    ok = run_workload([&] { return r->completed; });
-    std::printf("elapsed: %.3f s, best tour %u (%s), %llu nodes\n\n", r->ElapsedSeconds(),
-                r->best_cost, r->verified ? "optimal" : "SUBOPTIMAL",
-                static_cast<unsigned long long>(r->nodes_expanded));
-  } else if (args.workload == "kvstore") {
-    mwork::KvStoreParams prm;
-    prm.zipf_s = args.zipf_s;
-    prm.get_mix = args.get_mix;
-    prm.kv_replicas = static_cast<std::uint32_t>(args.kv_replicas);
-    prm.keys = args.kv_keys;
-    prm.arrival_per_s = args.kv_rate;
-    prm.ops_per_site = args.kv_ops;
-    auto r = mwork::LaunchKvStore(world, prm);
-    ok = run_workload([&] { return r->completed(); });
+// The workload's headline, from the run's metrics.
+void PrintHeadline(const mexp::RunConfig& cfg, const mexp::RunResult& r) {
+  auto m = [&r](const char* name) { return r.metrics.at(name); };
+  auto count = [&m](const char* name) { return static_cast<unsigned long long>(m(name)); };
+  const std::string& w = cfg.workload;
+  if (w == "pingpong") {
+    std::printf("throughput: %.2f cycles/s over %d cycles\n\n", m("throughput"),
+                static_cast<int>(m("cycles")));
+  } else if (w == "readwriters") {
+    std::printf("throughput: %.0f read-write ops/s\n\n", m("throughput"));
+  } else if (w == "spinlock") {
+    std::printf("throughput: %.2f critical sections/s (mutex %s)\n\n", m("throughput"),
+                m("mutex_held") != 0.0 ? "held" : "BROKEN");
+  } else if (w == "scalability") {
+    std::printf("mean write latency: %.2f ms, %.1f invalidations/round\n\n",
+                m("mean_write_latency_ms"), m("invalidations_per_round"));
+  } else if (w == "matrix" || w == "dot") {
+    std::printf("elapsed: %.3f s (%s)\n\n", m("elapsed_s"),
+                m("verified") != 0.0 ? "verified" : "WRONG RESULT");
+  } else if (w == "tsp") {
+    std::printf("elapsed: %.3f s, best tour %llu (%s), %llu nodes\n\n", m("elapsed_s"),
+                count("best_tour"), m("verified") != 0.0 ? "optimal" : "SUBOPTIMAL",
+                count("nodes_expanded"));
+  } else if (w == "kvstore") {
     std::printf("throughput: %.1f ops/s (%llu gets, %llu sets; %llu misses, "
                 "%llu torn, %llu integrity failures)\n",
-                r->OpsPerSecond(), static_cast<unsigned long long>(r->gets()),
-                static_cast<unsigned long long>(r->sets()),
-                static_cast<unsigned long long>(r->misses()),
-                static_cast<unsigned long long>(r->torn_reads()),
-                static_cast<unsigned long long>(r->integrity_failures()));
-    std::printf("request queues: peak %llu, mean depth %.2f\n",
-                static_cast<unsigned long long>(r->queue_peak()), r->MeanQueueDepth());
-    r->get_latency().Print(std::cout, "get latency (arrival to completion)");
-    r->set_latency().Print(std::cout, "set latency (arrival to completion)");
+                m("throughput"), count("kv_gets"), count("kv_sets"), count("kv_misses"),
+                count("kv_torn_reads"), count("kv_integrity_failures"));
+    std::printf("request queues: peak %llu, mean depth %.2f\n", count("kv_queue_peak"),
+                m("kv_queue_mean_depth"));
+    r.kv_get_latency.Print(std::cout, "get latency (arrival to completion)");
+    r.kv_set_latency.Print(std::cout, "set latency (arrival to completion)");
     std::printf("\n");
-  } else {
-    std::fprintf(stderr, "unknown workload '%s'\n", args.workload.c_str());
-    return 2;
   }
+}
 
+// The human-readable report of a finished run whose World is still live.
+void PrintReport(const mexp::RunConfig& cfg, msysv::World& world, const mexp::RunResult& r) {
+  if (!r.abort_reason.empty()) {
+    std::printf("workload aborted: %s\n", r.abort_reason.c_str());
+  }
+  PrintHeadline(cfg, r);
   world.PrintReport(std::cout);
   // Cross-site op-fault latency with percentiles, not just the per-site
-  // means: merge every engine's histograms before printing.
-  {
-    mtrace::LatencyHistogram all_reads, all_writes;
-    for (int s = 0; s < world.site_count(); ++s) {
-      if (const mirage::Engine* e = world.engine(s)) {
-        all_reads.Merge(e->read_fault_latency());
-        all_writes.Merge(e->write_fault_latency());
-      }
-    }
-    if (all_reads.count() > 0) {
-      all_reads.Print(std::cout, "all-site read-fault latency");
-    }
-    if (all_writes.count() > 0) {
-      all_writes.Print(std::cout, "all-site write-fault latency");
-    }
+  // means.
+  if (r.read_latency.count() > 0) {
+    r.read_latency.Print(std::cout, "all-site read-fault latency");
   }
-  if (!args.baseline) {
+  if (r.write_latency.count() > 0) {
+    r.write_latency.Print(std::cout, "all-site write-fault latency");
+  }
+  if (!cfg.baseline) {
     // dsm doctor: validate the global protocol invariants post-run. Under
     // faults the checker is scoped to live sites — a crashed site's frozen
     // copies left the system, and the coherence and directory/image
@@ -429,12 +129,12 @@ int main(int argc, char** argv) {
     }
     world.RunFor(2 * msim::kSecond);  // quiesce
     mirage::InvariantChecker checker(engines);
-    if (args.faulted) {
+    if (!cfg.faults.empty()) {
       checker.SetLiveness([&world](mnet::SiteId s) { return world.faults()->SiteUp(s); });
     }
     mirage::InvariantReport report = checker.CheckFull(world.registry());
-    std::printf("\ninvariants: %s (%d pages checked)\n",
-                report.ok() ? "OK" : "VIOLATED", report.pages_checked);
+    std::printf("\ninvariants: %s (%d pages checked)\n", report.ok() ? "OK" : "VIOLATED",
+                report.pages_checked);
     for (const std::string& v : report.violations) {
       std::printf("  !! %s\n", v.c_str());
     }
@@ -447,9 +147,68 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(cs->retransmits),
                 static_cast<unsigned long long>(cs->duplicates_suppressed));
   }
-  if (args.trace) {
+  if (cfg.enable_trace) {
     std::printf("\nprotocol trace:\n");
     world.tracer().Print(std::cout);
   }
-  return ok ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  mexp::ExperimentSpec spec;
+  spec.workload = "pingpong";
+  spec.rounds = 40;
+  spec.max_time_s = 900;
+  bool json = false;
+  bool trace = false;
+  mexp::SpecFlags flags(mexp::SpecFlags::Mode::kSingleRun);
+  // The positional arguments are values of the shared flags.
+  const char* const positional[] = {"--workload=", "--sites=", "--delta="};
+  std::size_t pos = 0;
+  for (int i = 1; i < argc; ++i) {
+    std::string s = argv[i];
+    if (s == "--json") {
+      json = true;
+      continue;
+    }
+    if (s == "--trace") {
+      trace = true;
+      continue;
+    }
+    if (s.rfind("--", 0) != 0 && pos < std::size(positional)) {
+      s = positional[pos++] + s;
+    }
+    std::string error;
+    if (mexp::SpecFlags::Result res = flags.Apply(s, &spec, &error);
+        res != mexp::SpecFlags::Result::kApplied) {
+      if (res == mexp::SpecFlags::Result::kNotShared) {
+        error = "unknown argument '" + s + "' (see the header comment for usage)";
+      }
+      std::fprintf(stderr, "%s\n", error.c_str());
+      return 2;
+    }
+  }
+  spec.name = "scenario:" + spec.workload;
+  if (std::string error; !flags.Finish(spec, &error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 2;
+  }
+
+  if (json) {
+    mexp::ExperimentReport report = mexp::ExperimentRunner(1).Run(spec);
+    mexp::ReportToJson(report).Dump(std::cout);
+    std::cout << "\n";
+    return report.failed_runs == 0 ? 0 : 1;
+  }
+  mexp::RunConfig cfg = spec.Expand()[0];
+  cfg.enable_trace = trace;
+  PrintHeader(cfg);
+  mexp::RunResult r = mexp::ExecuteRun(
+      cfg, [&cfg](msysv::World& world, const mexp::RunResult& rr) { PrintReport(cfg, world, rr); });
+  if (!r.ok) {
+    std::fprintf(stderr, "run failed: %s\n", r.error.c_str());
+    return 1;
+  }
+  return r.metrics.at("completed") != 0.0 ? 0 : 1;
 }

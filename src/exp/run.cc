@@ -38,6 +38,7 @@ msysv::WorldOptions BuildWorldOptions(const RunConfig& cfg) {
     throw std::runtime_error("unknown cost preset '" + cfg.cost_preset + "'");
   }
   opts.parallel_ok = ParallelSafeWorkload(cfg.workload);
+  opts.enable_trace = cfg.enable_trace;
   opts.sched.quantum_ticks = cfg.quantum_ticks;
   opts.protocol.default_window_us = cfg.delta_ms * msim::kMillisecond;
   opts.protocol.parallel_page_ops = cfg.parallel_lib;
@@ -50,7 +51,7 @@ msysv::WorldOptions BuildWorldOptions(const RunConfig& cfg) {
   if (!cfg.faults.empty()) {
     opts.faults = cfg.faults;
     // Recovery timeouts: the paper's wait-forever defaults would hang any
-    // client of a crashed library site (same policy as scenario_runner).
+    // client of a crashed library site.
     opts.protocol.request_timeout_us = 250 * msim::kMillisecond;
     opts.protocol.max_request_attempts = 5;
     opts.protocol.ack_timeout_us = 250 * msim::kMillisecond;
@@ -202,7 +203,7 @@ bool KnownWorkload(const std::string& name) {
          name == "kvstore";
 }
 
-RunResult ExecuteRun(const RunConfig& cfg) {
+RunResult ExecuteRun(const RunConfig& cfg, const RunInspector& inspect) {
   RunResult out;
   if (!KnownWorkload(cfg.workload)) {
     out.error = "unknown workload '" + cfg.workload + "'";
@@ -213,12 +214,11 @@ RunResult ExecuteRun(const RunConfig& cfg) {
 
     // Under faults a workload client may get EIDRM (library/clock site
     // gone); that is a measured outcome, not a harness error.
-    bool aborted = false;
     auto run_until = [&](const std::function<bool()>& done) {
       try {
         return world.RunUntil(done, cfg.max_time_us);
-      } catch (const msysv::PageFaultError&) {
-        aborted = true;
+      } catch (const msysv::PageFaultError& e) {
+        out.abort_reason = std::string(e.what()) + " (" + msysv::ShmErrName(e.err()) + ")";
         return false;
       }
     };
@@ -313,6 +313,7 @@ RunResult ExecuteRun(const RunConfig& cfg) {
       out.metrics["elapsed_s"] = r->ElapsedSeconds();
       out.metrics["verified"] = r->verified ? 1.0 : 0.0;
       out.metrics["nodes_expanded"] = static_cast<double>(r->nodes_expanded);
+      out.metrics["best_tour"] = static_cast<double>(r->best_cost);
     } else if (cfg.workload == "kvstore") {
       mwork::KvStoreParams prm;
       prm.keys = cfg.kv_keys;
@@ -335,23 +336,27 @@ RunResult ExecuteRun(const RunConfig& cfg) {
       out.metrics["kv_integrity_failures"] = static_cast<double>(r->integrity_failures());
       out.metrics["kv_queue_peak"] = static_cast<double>(r->queue_peak());
       out.metrics["kv_queue_mean_depth"] = r->MeanQueueDepth();
-      const mtrace::LatencyHistogram kv_get_hist = r->get_latency();
-      const mtrace::LatencyHistogram kv_set_hist = r->set_latency();
-      out.metrics["kv_get_mean_ms"] = kv_get_hist.MeanMs();
-      out.metrics["kv_get_p50_ms"] = kv_get_hist.PercentileMs(0.50);
-      out.metrics["kv_get_p95_ms"] = kv_get_hist.PercentileMs(0.95);
-      out.metrics["kv_get_p99_ms"] = kv_get_hist.PercentileMs(0.99);
-      out.metrics["kv_set_mean_ms"] = kv_set_hist.MeanMs();
-      out.metrics["kv_set_p50_ms"] = kv_set_hist.PercentileMs(0.50);
-      out.metrics["kv_set_p95_ms"] = kv_set_hist.PercentileMs(0.95);
-      out.metrics["kv_set_p99_ms"] = kv_set_hist.PercentileMs(0.99);
+      out.kv_get_latency = r->get_latency();
+      out.kv_set_latency = r->set_latency();
+      out.metrics["kv_get_mean_ms"] = out.kv_get_latency.MeanMs();
+      out.metrics["kv_get_p50_ms"] = out.kv_get_latency.PercentileMs(0.50);
+      out.metrics["kv_get_p95_ms"] = out.kv_get_latency.PercentileMs(0.95);
+      out.metrics["kv_get_p99_ms"] = out.kv_get_latency.PercentileMs(0.99);
+      out.metrics["kv_set_mean_ms"] = out.kv_set_latency.MeanMs();
+      out.metrics["kv_set_p50_ms"] = out.kv_set_latency.PercentileMs(0.50);
+      out.metrics["kv_set_p95_ms"] = out.kv_set_latency.PercentileMs(0.95);
+      out.metrics["kv_set_p99_ms"] = out.kv_set_latency.PercentileMs(0.99);
     }
 
     out.metrics["completed"] = completed ? 1.0 : 0.0;
-    out.metrics["aborted"] = aborted ? 1.0 : 0.0;
+    out.metrics["aborted"] = out.abort_reason.empty() ? 0.0 : 1.0;
     CollectCommon(world, &out);
     out.ok = true;
+    if (inspect) {
+      inspect(world, out);
+    }
   } catch (const std::exception& e) {
+    out.ok = false;
     out.error = e.what();
   }
   return out;

@@ -8,11 +8,16 @@
 #ifndef SRC_EXP_RUN_H_
 #define SRC_EXP_RUN_H_
 
+#include <functional>
 #include <map>
 #include <string>
 
 #include "src/exp/spec.h"
 #include "src/trace/histogram.h"
+
+namespace msysv {
+class World;
+}  // namespace msysv
 
 namespace mexp {
 
@@ -29,12 +34,23 @@ struct RunResult {
   // Fault-to-resume latency distributions summed over all sites.
   mtrace::LatencyHistogram read_latency;
   mtrace::LatencyHistogram write_latency;
+  // kvstore only: arrival-to-completion latency of gets and sets.
+  mtrace::LatencyHistogram kv_get_latency;
+  mtrace::LatencyHistogram kv_set_latency;
+  // The PageFaultError that aborted the workload, as "what (ERRNAME)";
+  // empty unless metrics["aborted"] is 1.
+  std::string abort_reason;
 };
 
 // Workload names understood by ExecuteRun.
 bool KnownWorkload(const std::string& name);
 
-RunResult ExecuteRun(const RunConfig& cfg);
+// Called once the run's metrics are collected, with its World still live,
+// so a caller can render what only the World holds: per-site tables,
+// post-run invariant checks, the protocol trace.
+using RunInspector = std::function<void(msysv::World&, const RunResult&)>;
+
+RunResult ExecuteRun(const RunConfig& cfg, const RunInspector& inspect = nullptr);
 
 }  // namespace mexp
 

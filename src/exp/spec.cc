@@ -1,9 +1,13 @@
 #include "src/exp/spec.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
+#include "src/exp/run.h"
+#include "src/mem/page.h"
 #include "src/net/cost_model.h"
 #include "src/sim/random.h"
 
@@ -45,6 +49,11 @@ bool ReadNumArray(const Json& j, const std::string& key, std::vector<T>* out) {
     out->push_back(static_cast<T>(v.AsDouble()));
   }
   return !out->empty();
+}
+
+template <typename T>
+bool AllIn(const std::vector<T>& v, T lo, T hi) {
+  return std::all_of(v.begin(), v.end(), [lo, hi](T x) { return x >= lo && x <= hi; });
 }
 
 }  // namespace
@@ -209,6 +218,46 @@ bool FaultPlanFromJson(const Json& j, FaultPlanSpec* out, std::string* error) {
   return true;
 }
 
+bool ExperimentSpec::Validate(std::string* error) const {
+  auto fail = [error](const std::string& why) {
+    *error = why;
+    return false;
+  };
+  if (!KnownWorkload(workload)) {
+    return fail("unknown workload '" + workload + "'");
+  }
+  if (repetitions < 1) {
+    return fail("repetitions must be >= 1");
+  }
+  if (!AllIn(sites, 1, mmem::kMaxSites)) {
+    return fail("sites values must be in 1..512");
+  }
+  if (!AllIn(replicas, 1, 12)) {
+    return fail("replicas values must be in 1..12");
+  }
+  if (!AllIn(kv_replicas, 1, 12)) {
+    return fail("kv_replicas values must be in 1..12");
+  }
+  if (!AllIn(get_mix, 0.0, 1.0)) {
+    return fail("get_mix values must be in [0, 1]");
+  }
+  if (!AllIn(zipf_s, 0.0, std::numeric_limits<double>::infinity())) {
+    return fail("zipf_s values must be >= 0");
+  }
+  for (const std::string& cp : cost_presets) {
+    mnet::CostModel unused;
+    if (!mnet::CostModel::FromName(cp, &unused)) {
+      return fail("unknown cost preset '" + cp + "'");
+    }
+  }
+  for (const FaultPlanSpec& fp : fault_plans) {
+    if (std::string why; !fp.plan.Validate(&why)) {
+      return fail("invalid fault plan '" + fp.name + "': " + why);
+    }
+  }
+  return true;
+}
+
 Json ExperimentSpec::ToJson() const {
   Json j = Json::Object();
   j.Set("name", Json(name));
@@ -345,46 +394,8 @@ bool ExperimentSpec::FromJson(const Json& j, ExperimentSpec* out, std::string* e
       static_cast<std::uint32_t>(j.GetInt("kv_ops_per_site", spec.kv_ops_per_site));
   spec.kv_workers = static_cast<int>(j.GetInt("kv_workers", spec.kv_workers));
   spec.kv_shards = static_cast<std::uint32_t>(j.GetInt("kv_shards", spec.kv_shards));
-  if (spec.repetitions < 1) {
-    *error = "repetitions must be >= 1";
+  if (!spec.Validate(error)) {
     return false;
-  }
-  for (int s : spec.sites) {
-    if (s < 1 || s > 512) {
-      *error = "sites values must be in 1..512";
-      return false;
-    }
-  }
-  for (const std::string& cp : spec.cost_presets) {
-    mnet::CostModel unused;
-    if (!mnet::CostModel::FromName(cp, &unused)) {
-      *error = "unknown cost preset '" + cp + "'";
-      return false;
-    }
-  }
-  for (int k : spec.replicas) {
-    if (k < 1 || k > 12) {
-      *error = "replicas values must be in 1..12";
-      return false;
-    }
-  }
-  for (int k : spec.kv_replicas) {
-    if (k < 1 || k > 12) {
-      *error = "kv_replicas values must be in 1..12";
-      return false;
-    }
-  }
-  for (double g : spec.get_mix) {
-    if (g < 0.0 || g > 1.0) {
-      *error = "get_mix values must be in [0, 1]";
-      return false;
-    }
-  }
-  for (double z : spec.zipf_s) {
-    if (z < 0.0) {
-      *error = "zipf_s values must be >= 0";
-      return false;
-    }
   }
   *out = std::move(spec);
   return true;

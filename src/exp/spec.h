@@ -88,6 +88,9 @@ struct RunConfig {
   std::uint32_t kv_ops_per_site = 200;
   int kv_workers = 3;
   std::uint32_t kv_shards = 0;
+  // Record the protocol event trace (World's tracer). Set by a caller that
+  // prints it, never by Expand: it is not part of the spec.
+  bool enable_trace = false;
 };
 
 struct ExperimentSpec {
@@ -152,9 +155,15 @@ struct ExperimentSpec {
   // The seed for global run `run_index`, splitmix-derived from the spec seed.
   static std::uint64_t DeriveSeed(std::uint64_t base, int run_index);
 
+  // Range checks shared by spec files and both runners' flags: a known
+  // workload, repetitions >= 1, sites in 1..512, known cost presets,
+  // replicas and kv_replicas in 1..12, get_mix in [0, 1], zipf_s >= 0, and
+  // fault plans that FaultPlan::Validate accepts. False sets *error.
+  bool Validate(std::string* error) const;
+
   Json ToJson() const;
   // Parses a spec; unknown members are ignored, absent ones keep defaults.
-  // Returns false and sets *error on malformed input.
+  // Returns false and sets *error on malformed or out-of-range input.
   static bool FromJson(const Json& j, ExperimentSpec* out, std::string* error);
 };
 

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cstdlib>
 #include <ostream>
+#include <stdexcept>
 #include <string>
 
+#include "src/mem/page.h"
 #include "src/trace/table.h"
 
 namespace msysv {
@@ -43,6 +45,11 @@ int ResolveSimWorkers(const WorldOptions& opts, int num_sites) {
 
 World::World(int num_sites, WorldOptions opts)
     : costs_(opts.costs), tick_us_(opts.sched.tick_us) {
+  // SiteMask holds kMaxSites bits; a larger world would index past it.
+  if (num_sites < 1 || num_sites > mmem::kMaxSites) {
+    throw std::invalid_argument("World: " + std::to_string(num_sites) +
+                                " sites, want 1.." + std::to_string(mmem::kMaxSites));
+  }
   // Workers must be configured before anything schedules (events are routed
   // to their partition at schedule time), i.e. before kernels start.
   const int sim_workers = ResolveSimWorkers(opts, num_sites);

@@ -62,6 +62,7 @@ struct WorldOptions {
 
 class World {
  public:
+  // Throws std::invalid_argument unless 1 <= num_sites <= mmem::kMaxSites.
   explicit World(int num_sites, WorldOptions opts = WorldOptions{});
   ~World();
   World(const World&) = delete;

@@ -5,12 +5,15 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 
 #include "src/exp/report.h"
 #include "src/exp/runner.h"
 #include "src/exp/spec.h"
 #include "src/exp/stats.h"
+#include "src/mem/page.h"
+#include "src/sysv/world.h"
 
 namespace {
 
@@ -327,6 +330,45 @@ TEST(ExperimentRunner, FaultPlanAxisProducesMeasuredDegradedRuns) {
   EXPECT_EQ(pt.metrics.at("elections").Mean(), 1.0);
   EXPECT_EQ(pt.metrics.at("recoveries").Mean(), 1.0);
   EXPECT_GE(pt.metrics.at("pages_recovered").Mean(), 1.0);
+}
+
+// SiteMask holds mmem::kMaxSites bits. A larger World used to build fine
+// and then index past the mask once its last site joined a reader set, so
+// a 513-site scalability run "succeeded" with completed = 0.
+TEST(World, RejectsSiteCountsOutsideOneToMaxSites) {
+  EXPECT_THROW(msysv::World(0), std::invalid_argument);
+  EXPECT_THROW(msysv::World(mmem::kMaxSites + 1), std::invalid_argument);
+  EXPECT_NO_THROW(msysv::World(1));
+  EXPECT_NO_THROW(msysv::World(mmem::kMaxSites));
+}
+
+TEST(ExperimentRunner, OversizedWorldIsAFailedRun) {
+  mexp::RunConfig cfg;
+  cfg.workload = "scalability";
+  cfg.sites = mmem::kMaxSites + 1;
+  cfg.rounds = 1;
+  const mexp::RunResult r = mexp::ExecuteRun(cfg);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("513 sites"), std::string::npos) << r.error;
+}
+
+// The inspector runs once, after the metrics are collected, on the run's
+// still-live World (scenario_runner renders its text report from it).
+TEST(ExperimentRunner, InspectorSeesTheLiveWorldAfterCollection) {
+  mexp::RunConfig cfg;
+  cfg.workload = "pingpong";
+  cfg.rounds = 5;
+  cfg.enable_trace = true;
+  int calls = 0;
+  const mexp::RunResult r =
+      mexp::ExecuteRun(cfg, [&calls](msysv::World& world, const mexp::RunResult& rr) {
+        ++calls;
+        EXPECT_EQ(rr.metrics.at("completed"), 1.0);
+        EXPECT_EQ(rr.metrics.at("sim_time_ms"), msim::ToMilliseconds(world.sim().Now()));
+        EXPECT_FALSE(world.tracer().events().empty());
+      });
+  EXPECT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(calls, 1);
 }
 
 // Failover determinism under the experiment harness: a recovery-heavy grid
